@@ -58,6 +58,31 @@ func TestSamplerDecisionAllocFree(t *testing.T) {
 	}
 }
 
+// TestSamplerDecisionAllocFreeMixedArms covers both Thompson draw paths at
+// once: half the arms are warm (N1 > 0, drawn through RNG.Gamma) and half
+// sit at the prior (drawn through the precomputed prior GammaShape — the
+// only path TestSamplerDecisionAllocFree's zero-N1 updates exercise).
+func TestSamplerDecisionAllocFreeMixedArms(t *testing.T) {
+	s := warmSampler(t, 64, Thompson)
+	for j := 0; j < s.NumChunks(); j += 2 {
+		if err := s.Adjust(j, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		p, ok := s.Next()
+		if !ok {
+			t.Fatal("sampler exhausted")
+		}
+		if err := s.Update(p.Chunk, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("mixed warm/prior Thompson decision allocates %.2f objects/decision, want 0", allocs)
+	}
+}
+
 // TestSamplerDecisionAllocFreeGreedy: the greedy ablation policy shares
 // the same budget.
 func TestSamplerDecisionAllocFreeGreedy(t *testing.T) {

@@ -207,6 +207,10 @@ type Sampler struct {
 	total    int64 // total frames sampled across chunks
 	live     int   // chunks with frames remaining
 	rng      *xrand.RNG
+	// prior is the Gamma(α0, 1) sampler with its shape constants hoisted:
+	// every arm with N1 <= 0 sits exactly at the prior, so most Thompson
+	// draws share this one shape.
+	prior xrand.GammaShape
 	// rpSlab backs lazily opened random+ orders in blocks, so the cold
 	// chunk opens of a many-armed sampler amortize to ~1 allocation per
 	// slab instead of several per chunk.
@@ -242,6 +246,7 @@ func New(chunks []video.Chunk, cfg Config) (*Sampler, error) {
 		disabled: make([]bool, len(chunks)),
 		live:     len(chunks),
 		rng:      xrand.New(cfg.Seed),
+		prior:    xrand.NewGammaShape(cfg.Alpha0),
 	}
 	return s, nil
 }
@@ -363,6 +368,10 @@ func (s *Sampler) score(j int) float64 {
 		// estimates (e.g. at start) don't collapse onto chunk 0.
 		return alpha/beta + 1e-12*s.rng.Float64()
 	default:
+		if alpha == s.cfg.Alpha0 {
+			// Same value and randomness as rng.Gamma(alpha, beta).
+			return s.prior.Draw(s.rng) / beta
+		}
 		return s.rng.Gamma(alpha, beta)
 	}
 }

@@ -198,11 +198,14 @@ func (s *Sim) Calls() int64 { return s.calls.Load() }
 // frame for a given detector.
 func (s *Sim) Detect(frame int64) []track.Detection {
 	s.calls.Add(1)
+	// A per-call stack buffer keeps the common few-visible frame off the
+	// heap; a buffer shared on s would race between pool workers.
+	var buf [8]track.Instance
 	var visible []track.Instance
 	if s.class == "" {
-		visible = s.idx.At(frame, nil)
+		visible = s.idx.At(frame, buf[:0])
 	} else {
-		visible = s.idx.AtClass(frame, s.class, nil)
+		visible = s.idx.AtClass(frame, s.class, buf[:0])
 	}
 	var dets []track.Detection
 	for _, in := range visible {

@@ -133,9 +133,8 @@ func (x *Index) At(frame int64, dst []Instance) []Instance {
 		return dst
 	}
 	for _, i := range x.buckets[frame/x.bucketSize] {
-		in := x.instances[i]
-		if in.VisibleAt(frame) {
-			dst = append(dst, in)
+		if in := &x.instances[i]; in.VisibleAt(frame) {
+			dst = append(dst, *in)
 		}
 	}
 	return dst
@@ -147,9 +146,11 @@ func (x *Index) AtClass(frame int64, class string, dst []Instance) []Instance {
 		return dst
 	}
 	for _, i := range x.buckets[frame/x.bucketSize] {
-		in := x.instances[i]
-		if in.Class == class && in.VisibleAt(frame) {
-			dst = append(dst, in)
+		// Filter through a pointer, cheapest test first: an Instance is
+		// over 100 bytes and most bucket entries are rejected.
+		in := &x.instances[i]
+		if in.VisibleAt(frame) && in.Class == class {
+			dst = append(dst, *in)
 		}
 	}
 	return dst

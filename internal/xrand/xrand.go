@@ -177,7 +177,16 @@ func LogNormalMeanCV(mean, cv float64) (mu, sigma float64) {
 // paper's belief distribution Γ(α=N1+α0, β=n+β0) (Eq. III.4).
 //
 // Sampling uses the Marsaglia–Tsang squeeze method for alpha >= 1 and the
-// standard boost (U^(1/alpha) scaling) for alpha < 1.
+// standard boost (U^(1/alpha) scaling) for alpha < 1. When 1/alpha is an
+// integer n in [1, 16] — the paper's prior α0 = 0.1 gives n = 10 — the boost
+// computes U^n by square-and-multiply in exactly math.Pow's operation
+// order, which is bit-identical to math.Pow(U, n) for every U Float64 can
+// return; other exponents call math.Pow. Like the uniform draws pinned in
+// compat_test.go, the Gamma and Beta streams are part of the determinism
+// contract: a given seed and call sequence always yields the same values,
+// bit for bit, and gamma_test.go pins them to the reference algorithm.
+// Callers drawing repeatedly at one fixed shape can hoist the per-shape
+// constants with NewGammaShape.
 func (g *RNG) Gamma(alpha, beta float64) float64 {
 	if alpha <= 0 || beta <= 0 {
 		panic("xrand: Gamma requires alpha > 0 and beta > 0")
@@ -187,18 +196,87 @@ func (g *RNG) Gamma(alpha, beta float64) float64 {
 
 // gammaShape samples Gamma(alpha, 1).
 func (g *RNG) gammaShape(alpha float64) float64 {
+	s := NewGammaShape(alpha)
+	return s.Draw(g)
+}
+
+// maxPowInt is the largest integer boost exponent 1/alpha drawn by
+// square-and-multiply. A uniform u >= 2^-53 keeps every intermediate of
+// u^16 (>= 2^-848) a normal float64, the condition for matching math.Pow
+// bit for bit.
+const maxPowInt = 16
+
+// GammaShape is a Gamma(alpha, 1) sampler for one fixed shape, with the
+// per-shape constants (the boost exponent and the Marsaglia–Tsang d and c)
+// computed once. Draw produces exactly the values, and consumes exactly
+// the randomness, that RNG.Gamma(alpha, 1) would.
+type GammaShape struct {
+	d, c float64 // Marsaglia–Tsang constants for alpha, or alpha+1 when boosting
+	inv  float64 // 1/alpha when boosting (alpha < 1), else 0
+	n    int     // inv as an integer when it is one in [1, maxPowInt], else 0
+}
+
+// NewGammaShape precomputes the Gamma(alpha, 1) sampler for alpha > 0.
+func NewGammaShape(alpha float64) GammaShape {
+	if alpha <= 0 {
+		panic("xrand: GammaShape requires alpha > 0")
+	}
+	var s GammaShape
 	if alpha < 1 {
 		// Boost: if X ~ Gamma(alpha+1) and U ~ Uniform(0,1),
 		// X * U^(1/alpha) ~ Gamma(alpha).
-		u := g.Float64()
-		for u == 0 {
-			u = g.Float64()
+		s.inv = 1 / alpha
+		if s.inv <= maxPowInt && s.inv == math.Trunc(s.inv) {
+			s.n = int(s.inv)
 		}
-		return g.gammaShape(alpha+1) * math.Pow(u, 1/alpha)
+		alpha++
 	}
-	// Marsaglia–Tsang.
-	d := alpha - 1.0/3.0
-	c := 1.0 / math.Sqrt(9.0*d)
+	s.d = alpha - 1.0/3.0
+	s.c = 1.0 / math.Sqrt(9.0*s.d)
+	return s
+}
+
+// Draw samples Gamma(alpha, 1) for the shape s was built with.
+func (s *GammaShape) Draw(g *RNG) float64 {
+	if s.inv == 0 {
+		return g.marsagliaTsang(s.d, s.c)
+	}
+	// The uniform is drawn before the Gamma(alpha+1) variate.
+	u := g.Float64()
+	for u == 0 {
+		u = g.Float64()
+	}
+	var p float64
+	if s.n != 0 {
+		p = powInt(u, s.n)
+	} else {
+		p = math.Pow(u, s.inv)
+	}
+	return g.marsagliaTsang(s.d, s.c) * p
+}
+
+// powInt returns x^n for n >= 1 by square-and-multiply in math.Pow's
+// order: multiply the accumulator on set bits of n, square x between them.
+// math.Pow runs the same products on Frexp mantissas and rescales with an
+// exact Ldexp, so while every product here is a normal float64 (see
+// maxPowInt) the two agree bit for bit.
+func powInt(x float64, n int) float64 {
+	a := 1.0
+	for {
+		if n&1 == 1 {
+			a *= x
+		}
+		n >>= 1
+		if n == 0 {
+			return a
+		}
+		x *= x
+	}
+}
+
+// marsagliaTsang samples Gamma(alpha, 1) for alpha >= 1 given the
+// precomputed d = alpha - 1/3 and c = 1/sqrt(9d).
+func (g *RNG) marsagliaTsang(d, c float64) float64 {
 	for {
 		var x, v float64
 		for {
@@ -219,7 +297,8 @@ func (g *RNG) gammaShape(alpha float64) float64 {
 	}
 }
 
-// Beta returns a Beta(a, b)-distributed value via two Gamma draws.
+// Beta returns a Beta(a, b)-distributed value via two Gamma draws; a and b
+// must be positive.
 func (g *RNG) Beta(a, b float64) float64 {
 	x := g.gammaShape(a)
 	y := g.gammaShape(b)
