@@ -2,11 +2,14 @@ package exsample
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/cachestore"
+	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/sizer"
 )
 
@@ -209,43 +212,87 @@ func TestAdaptiveRoundsSharded(t *testing.T) {
 	}
 }
 
-// TestAdaptiveObserveSkipsMemoHits: a group resolved from the memo cache
-// reports near-zero wall latency for frames the backend never served;
-// those observations must be charged to the backend-served (miss) count
-// only — and skipped outright for all-hit groups — or the controller's
-// baseline collapses and genuine backend batches read as queueing.
+// sizedAdapter wraps a run in the engine adapter with adaptive sizing on,
+// outside any scheduler, so tests can drive its detect/observe cycle.
+func sizedAdapter(run engineRun, fleet *sizer.Fleet) *engineQuery {
+	return &engineQuery{run: run, f: run.front(), ctx: context.Background(), sizer: fleet}
+}
+
+// TestAdaptiveObserveSkipsMemoHits: a group resolved from the cache — the
+// memo cache or the shared tier's L1 — reports near-zero wall latency for
+// frames the backend never served; those observations must be charged to
+// the backend-served (miss) count only — and skipped outright for all-hit
+// groups — or the controller's baseline collapses and genuine backend
+// batches read as queueing. Distinct and track queries share the adapter,
+// so both must count the same way under either caching mode.
 func TestAdaptiveObserveSkipsMemoHits(t *testing.T) {
-	var counters sizer.Counters
-	fleet, err := sizer.NewFleet(sizer.Config{Min: 2, Max: 32}, &counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq := &engineQuery{sizer: fleet}
-	sq := &sizedQuery{engineQuery: eq}
-	// All-hit group: wall latency is irrelevant, no observation reaches
-	// the controller however extreme it looks per frame.
-	eq.scr.note(7, 0)
-	sq.ObserveBatch(7, 8, 5.0)
-	if got := fleet.Quota(); got != 2 {
-		t.Fatalf("all-hit group moved the quota to %d", got)
-	}
-	if counters.Shrinks.Load() != 0 {
-		t.Fatalf("all-hit group counted %d shrinks", counters.Shrinks.Load())
-	}
-	// Backend-served groups (flat latency) grow the quota normally.
-	for i := 0; i < 10; i++ {
-		eq.scr.note(7, fleet.Quota())
-		sq.ObserveBatch(7, fleet.Quota(), 0.001*float64(fleet.Quota()))
-	}
-	if got := fleet.Quota(); got <= 2 {
-		t.Fatalf("backend-served groups never grew the quota: %d", got)
-	}
-	// A group whose ObserveBatch has no recorded backend count (failed
-	// call, stale key) is ignored rather than observed at full size.
-	before := fleet.Quota()
-	sq.ObserveBatch(99, 8, 9.0)
-	if got := fleet.Quota(); got != before {
-		t.Fatalf("unrecorded group moved the quota from %d to %d", before, got)
+	for _, kind := range []string{"distinct", "track"} {
+		for _, mode := range []string{"memo", "tier"} {
+			t.Run(kind+"/"+mode, func(t *testing.T) {
+				memo := cache.New(1 << 12)
+				cc := cacheConfig{memo: memo}
+				if mode == "tier" {
+					cc = cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(memo), cachestore.NewLocal(1<<12))}
+				}
+				var run engineRun
+				var err error
+				if kind == "distinct" {
+					run, err = newQueryRun(smallDataset(t, WithPerfectDetector()), Query{Class: "car", Limit: 10}, Options{Seed: 3}, cc, false)
+				} else {
+					run, err = newTrackRun(trackScene(t, WithPerfectDetector()), trackPred(), TrackOptions{Seed: 3}, cc)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var counters sizer.Counters
+				fleet, err := sizer.NewFleet(sizer.Config{Min: 2, Max: 32}, &counters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := sizedAdapter(run, fleet)
+				hot := []int64{10, 20, 30, 40}
+				key := q.AffinityKey(hot[0])
+				detect := func(frames []int64) {
+					t.Helper()
+					q.scr.reclaim()
+					if _, err := q.DetectBatch(frames); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The cold pass reaches the backend for every frame and
+				// fills the cache.
+				detect(hot)
+				if got := q.scr.take(key); got != len(hot) {
+					t.Fatalf("cold group recorded %d backend frames, want %d", got, len(hot))
+				}
+				// All-hit groups: however flat their latency, no
+				// observation reaches the controller.
+				for i := 0; i < 10; i++ {
+					detect(hot)
+					q.ObserveBatch(key, len(hot), 0.001*float64(len(hot)))
+				}
+				if got := fleet.Quota(); got != 2 || counters.Grows.Load() != 0 {
+					t.Fatalf("all-hit groups moved the quota to %d (%d grows)", got, counters.Grows.Load())
+				}
+				// Backend-served groups (flat latency) grow the quota
+				// normally.
+				for i := int64(0); i < 10; i++ {
+					detect([]int64{1000 + 10*i, 1001 + 10*i, 1002 + 10*i, 1003 + 10*i})
+					q.ObserveBatch(key, 4, 0.004)
+				}
+				if got := fleet.Quota(); got <= 2 {
+					t.Fatalf("backend-served groups never grew the quota: %d", got)
+				}
+				// A group whose ObserveBatch has no recorded backend count
+				// (failed call, stale key) is ignored rather than observed
+				// at full size.
+				before := fleet.Quota()
+				q.ObserveBatch(99, 8, 9.0)
+				if got := fleet.Quota(); got != before {
+					t.Fatalf("unrecorded group moved the quota from %d to %d", before, got)
+				}
+			})
+		}
 	}
 }
 
@@ -293,5 +340,69 @@ func TestAddShardDoesNotFirePhantomCapacityLoss(t *testing.T) {
 	scarred.opens.Add(1)
 	if after := qs.breakerOpens(); after != before+1 {
 		t.Fatalf("fresh breaker open not visible: %d, want %d", after, before+1)
+	}
+}
+
+// TestTrackAdaptiveRoundsMatchesTrackSearch: track results do not depend
+// on round size, so a track query whose quota is driven by the AIMD
+// controller reports exactly TrackSearch's results and coverage.
+func TestTrackAdaptiveRoundsMatchesTrackSearch(t *testing.T) {
+	ds := trackScene(t, WithPerfectDetector())
+	want, err := TrackSearch(ds, trackPred(), TrackOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, EngineOptions{Workers: 2, FramesPerRound: 2, AdaptiveRounds: true})
+	h, err := e.SubmitTrack(context.Background(), ds, trackPred(), TrackOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Results, got.Results) {
+		t.Fatalf("adaptive track query changed results (%d vs %d)", len(got.Results), len(want.Results))
+	}
+	if got.FramesProcessed != want.FramesProcessed || got.CoarseFrames != want.CoarseFrames ||
+		got.RefineFrames != want.RefineFrames || got.Intervals != want.Intervals {
+		t.Fatalf("adaptive track query changed coverage: %+v vs %+v", got, want)
+	}
+}
+
+// TestStandingAdaptiveParksAndWakes: a standing query under AdaptiveRounds
+// keeps the park/wake lifecycle — it parks on a drained ring, wakes on
+// append, consumes every frame exactly once, and finalizes with
+// context.Canceled on Cancel.
+func TestStandingAdaptiveParksAndWakes(t *testing.T) {
+	const framesEach = 1000
+	s, err := NewStreamSource(StreamConfig{}, liveSegment(t, framesEach, 811))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, EngineOptions{Workers: 2, FramesPerRound: 2, AdaptiveRounds: true, EventBuffer: 1 << 15})
+	h, err := e.SubmitStanding(context.Background(), s, Query{Class: "car"}, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.Standing() {
+		t.Fatal("handle does not identify as standing")
+	}
+	waitParked(t, h, "after consuming the initial segment")
+	if _, err := s.Append(liveSegment(t, framesEach, 812)); err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, h, "after consuming the appended segment")
+	if st := e.Stats(); st.Parks < 2 || st.Wakes < 1 {
+		t.Fatalf("park/wake counters = %d/%d, want at least 2/1", st.Parks, st.Wakes)
+	}
+	h.Cancel()
+	rep, err := h.Wait()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled standing query returned %v, want context.Canceled", err)
+	}
+	if rep.FramesProcessed != 2*framesEach {
+		t.Fatalf("processed %d frames, want %d (both segments, every frame exactly once)",
+			rep.FramesProcessed, 2*framesEach)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/exsample/exsample/internal/cache"
+	"github.com/exsample/exsample/internal/sizer"
 )
 
 // TestDetectBatchMemoHitAllocFree: once every frame of a batch is resident
@@ -65,5 +66,39 @@ func TestDetectOneScratchReuse(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("memo-hit detectOne allocates %.2f objects/call, want 0", allocs)
+	}
+}
+
+// TestAdapterSizedMemoHitAllocFree: the engine adapter around the detect
+// path — scratch reclaim, DetectBatch's boxing and backend-frame note, and
+// ObserveBatch's consume — adds no allocation to a distinct query's
+// adaptive round once its group is memo-resident. (The miss path is not
+// allocation-free: it fills the memo.)
+func TestAdapterSizedMemoHitAllocFree(t *testing.T) {
+	ds := smallDataset(t, WithPerfectDetector())
+	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{memo: cache.New(1 << 12)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters sizer.Counters
+	fleet, err := sizer.NewFleet(sizer.Config{Min: 2, Max: 32}, &counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := sizedAdapter(run, fleet)
+	frames := []int64{10, 2000, 40_000, 90_000, 150_000, 199_999}
+	key := q.AffinityKey(frames[0])
+	cycle := func() {
+		q.scr.reclaim()
+		if _, err := q.DetectBatch(frames); err != nil {
+			t.Fatal(err)
+		}
+		q.ObserveBatch(key, len(frames), 0.001)
+	}
+	// The first cycle misses and fills the memo (and sizes the scratches).
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 0 {
+		t.Fatalf("sized adapter memo-hit cycle allocates %.2f objects, want 0", allocs)
 	}
 }

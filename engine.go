@@ -388,29 +388,13 @@ func (e *Engine) Warm(ctx context.Context, src Source, class string, limit int64
 // must be unset; AutoChunk and the proxy training phase are Search-only
 // features.
 func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := q.Validate(); err != nil {
 		return nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.BatchSize > 1 || opts.Parallelism > 1 {
-		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize/Parallelism")
 	}
 	if opts.AutoChunk {
 		return nil, fmt.Errorf("exsample: engine queries do not support AutoChunk")
 	}
-	if opts.ProxyTrainPositives > 0 {
-		return nil, fmt.Errorf("exsample: engine queries do not support the proxy training phase")
-	}
-	run, err := newQueryRun(src, q, opts, e.cacheCfg(), false)
-	if err != nil {
-		return nil, err
-	}
-	return e.submitRun(ctx, src, run, false)
+	return e.submitQuery(ctx, src, q, opts, false)
 }
 
 // SubmitStanding registers a standing query against a live source and
@@ -432,9 +416,6 @@ func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) 
 // history reports byte-identically to an offline Search over the retained
 // segments (see StreamSource).
 func (e *Engine) SubmitStanding(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if q.Class == "" {
 		return nil, fmt.Errorf("exsample: query needs a class")
 	}
@@ -444,39 +425,47 @@ func (e *Engine) SubmitStanding(ctx context.Context, src Source, q Query, opts O
 	if q.RecallTarget < 0 || q.RecallTarget > 1 {
 		return nil, fmt.Errorf("exsample: recall target %v outside [0,1]", q.RecallTarget)
 	}
+	if opts.AutoChunk || opts.NumChunks > 0 {
+		return nil, fmt.Errorf("exsample: standing queries follow the source's live chunk topology; NumChunks/AutoChunk cannot apply")
+	}
+	return e.submitQuery(ctx, src, q, opts, true)
+}
+
+// submitQuery is the shared tail of Submit and SubmitStanding: the option
+// checks every engine query obeys, then the run and its handle.
+func (e *Engine) submitQuery(ctx context.Context, src Source, q Query, opts Options, standing bool) (*QueryHandle, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.BatchSize > 1 || opts.Parallelism > 1 {
 		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize/Parallelism")
 	}
-	if opts.AutoChunk || opts.NumChunks > 0 {
-		return nil, fmt.Errorf("exsample: standing queries follow the source's live chunk topology; NumChunks/AutoChunk cannot apply")
-	}
 	if opts.ProxyTrainPositives > 0 {
 		return nil, fmt.Errorf("exsample: engine queries do not support the proxy training phase")
 	}
-	run, err := newQueryRun(src, q, opts, e.cacheCfg(), true)
+	run, err := newQueryRun(src, q, opts, e.cacheCfg(), standing)
 	if err != nil {
 		return nil, err
 	}
-	return e.submitRun(ctx, src, run, true)
+	h := &QueryHandle{run: run, static: e.opts.FramesPerRound}
+	if err := e.submitRun(ctx, src, run, &h.handle, standing); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
-// submitRun is the shared tail of Submit and SubmitStanding: it builds the
-// handle and scheduler adapter, wraps for adaptive sizing and/or standing
-// semantics, subscribes standing queries to the source's append
-// notifications, and hands the query to the internal scheduler.
-func (e *Engine) submitRun(ctx context.Context, src Source, run *queryRun, standing bool) (*QueryHandle, error) {
-	h := &QueryHandle{
-		run:      run,
-		ctx:      ctx,
-		events:   make(chan QueryEvent, e.opts.EventBuffer),
-		static:   e.opts.FramesPerRound,
-		standing: standing,
+// submitRun is the one submission path behind Submit, SubmitStanding and
+// SubmitTrack: it wraps the run in the engine adapter, attaches an AIMD
+// sizer fleet under AdaptiveRounds, subscribes standing queries to the
+// source's append notifications, and hands the query to the internal
+// scheduler, filling in h.
+func (e *Engine) submitRun(ctx context.Context, src Source, run engineRun, h *handle, standing bool) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	eq := &engineQuery{run: run, ctx: ctx, handle: h}
-	var iq engine.Query = eq
+	q := &engineQuery{run: run, f: run.front(), ctx: ctx, h: h, standing: standing}
+	h.q = q
+	h.events = make(chan QueryEvent, e.opts.EventBuffer)
 	if e.opts.AdaptiveRounds {
 		// One AIMD controller per (query, backend): the fleet keys its
 		// controllers by the scheduler's shard-affinity key, grows from
@@ -484,25 +473,13 @@ func (e *Engine) submitRun(ctx context.Context, src Source, run *queryRun, stand
 		// hint, and the counters aggregate into EngineStats.
 		fleet, err := sizer.NewFleet(sizer.Config{
 			Min: e.opts.FramesPerRound,
-			Max: run.src.backendMaxBatch(),
+			Max: q.f.src.backendMaxBatch(),
 		}, &e.quota)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		eq.sizer = fleet
-		h.sizer = fleet
-		sq := &sizedQuery{engineQuery: eq}
-		if run.src.breakerOpens != nil {
-			sq.breakerOpens = run.src.breakerOpens
-			sq.lastOpens = sq.breakerOpens()
-		}
-		sq.scope.seed(run.src, fleet)
-		iq = sq
-		if standing {
-			iq = &sizedStandingQuery{sizedQuery: sq}
-		}
-	} else if standing {
-		iq = &standingQuery{engineQuery: eq}
+		q.sizer = fleet
+		q.scope.seed(q.f.src, fleet)
 	}
 	var wakeTarget atomic.Pointer[engine.Handle]
 	if standing {
@@ -520,16 +497,16 @@ func (e *Engine) submitRun(ctx context.Context, src Source, run *queryRun, stand
 			})
 		}
 	}
-	inner, err := e.inner.Submit(iq)
+	inner, err := e.inner.Submit(q)
 	if err != nil {
 		if h.unsub != nil {
 			h.unsub()
 		}
-		return nil, err
+		return err
 	}
 	wakeTarget.Store(inner)
 	h.inner = inner
-	return h, nil
+	return nil
 }
 
 // appendNotifier is the structural seam a growing source implements so
@@ -570,26 +547,90 @@ type QueryEvent struct {
 	Seconds float64
 }
 
-// QueryHandle tracks one submitted query.
-type QueryHandle struct {
-	run     *queryRun
-	ctx     context.Context
+// handle is the state every query handle shares: the scheduler adapter,
+// the inner scheduler handle and the event stream. QueryHandle and
+// TrackHandle embed it and add only their typed report.
+type handle struct {
+	q       *engineQuery
 	inner   *engine.Handle
 	events  chan QueryEvent
 	dropped atomic.Int64
-	sizer   *sizer.Fleet // non-nil when AdaptiveRounds is on
-	static  int          // the engine's FramesPerRound
-	// standing marks a SubmitStanding query; unsub (non-nil only then, and
-	// only for growing sources) cancels the append-wake subscription. It is
-	// written before the scheduler can observe the query and read once by
-	// Finalize on the scheduler goroutine.
-	standing bool
-	unsub    func()
+	// unsub (non-nil only for standing queries over growing sources)
+	// cancels the append-wake subscription. It is written before the
+	// scheduler can observe the query and read once by Finalize on the
+	// scheduler goroutine.
+	unsub func()
+}
+
+// Events streams the query's events: one QueryEvent per processed frame
+// for a distinct-object query, one per candidate interval that completed
+// with matching tracks (QueryEvent.Tracks) for a track query. The channel
+// is closed when the query finishes (for any reason); consumers that fall
+// behind the EventBuffer lose intermediate events (see Dropped) but never
+// stall the engine.
+func (h *handle) Events() <-chan QueryEvent { return h.events }
+
+// Dropped returns how many events were discarded because the Events
+// consumer fell behind.
+func (h *handle) Dropped() int64 { return h.dropped.Load() }
+
+// Cancel stops the query at the next round boundary. Wait returns
+// context.Canceled with the partial report.
+func (h *handle) Cancel() { h.inner.Cancel() }
+
+// BudgetCounters reports the query's cumulative global-budget accounting:
+// granted is the number of frames the marginal-value planner actually
+// offered this query across all rounds, requested is what the same rounds
+// would have offered under fair-share (the per-round cap). Both are 0 when
+// the engine runs without a GlobalBudget.
+func (h *handle) BudgetCounters() (granted, requested int64) {
+	return h.inner.BudgetCounters()
+}
+
+// wait blocks until the query finishes and maps its outcome to Wait's
+// error: nil on success, the context's error for a cancellation, or the
+// underlying pipeline error.
+func (h *handle) wait() error {
+	if err := h.inner.Wait(); err != nil {
+		return err
+	}
+	switch h.inner.Reason() {
+	case engine.ReasonCancelled:
+		if err := h.q.ctx.Err(); err != nil {
+			return err
+		}
+		return context.Canceled
+	case engine.ReasonDone:
+		// Done can mean the budget was reached or the context fired
+		// between rounds; report the latter as a cancellation.
+		if !h.q.run.done() {
+			if err := h.q.ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return h.q.run.failure()
+}
+
+// emit publishes one event without ever blocking the scheduler.
+func (h *handle) emit(ev QueryEvent) {
+	select {
+	case h.events <- ev:
+	default:
+		h.dropped.Add(1)
+	}
+}
+
+// QueryHandle tracks one submitted query.
+type QueryHandle struct {
+	handle
+	run    *queryRun
+	static int // the engine's FramesPerRound
 }
 
 // Standing reports whether this handle belongs to a standing
 // (SubmitStanding) query.
-func (h *QueryHandle) Standing() bool { return h.standing }
+func (h *QueryHandle) Standing() bool { return h.q.standing }
 
 // Parked reports whether a standing query is currently dormant — it has
 // sampled every active frame and left the scheduling loop until the source
@@ -601,99 +642,73 @@ func (h *QueryHandle) Parked() bool { return h.inner.Parked() }
 // static FramesPerRound otherwise. It is safe to call while the query
 // runs.
 func (h *QueryHandle) RoundQuota() int {
-	if h.sizer != nil {
-		return h.sizer.Quota()
+	if h.q.sizer != nil {
+		return h.q.sizer.Quota()
 	}
 	return h.static
 }
-
-// BudgetCounters reports the query's cumulative global-budget accounting:
-// granted is the number of frames the marginal-value planner actually
-// offered this query across all rounds, requested is what the same rounds
-// would have offered under fair-share (the per-round cap). Both are 0 when
-// the engine runs without a GlobalBudget.
-func (h *QueryHandle) BudgetCounters() (granted, requested int64) {
-	return h.inner.BudgetCounters()
-}
-
-// Events streams one QueryEvent per processed frame. The channel is closed
-// when the query finishes (for any reason); consumers that fall behind the
-// EventBuffer lose intermediate events (see Dropped) but never stall the
-// engine.
-func (h *QueryHandle) Events() <-chan QueryEvent { return h.events }
-
-// Dropped returns how many events were discarded because the Events
-// consumer fell behind.
-func (h *QueryHandle) Dropped() int64 { return h.dropped.Load() }
-
-// Cancel stops the query at the next round boundary. Wait returns
-// context.Canceled with the partial report.
-func (h *QueryHandle) Cancel() { h.inner.Cancel() }
 
 // Wait blocks until the query finishes and returns its report. The report
 // is complete on success and partial (but internally consistent) when the
 // query was cancelled or failed; err is nil on success, the context's error
 // for a cancellation, or the underlying pipeline error.
 func (h *QueryHandle) Wait() (*Report, error) {
-	if err := h.inner.Wait(); err != nil {
-		return h.run.rep, err
-	}
-	switch h.inner.Reason() {
-	case engine.ReasonCancelled:
-		if err := h.ctx.Err(); err != nil {
-			return h.run.rep, err
-		}
-		return h.run.rep, context.Canceled
-	case engine.ReasonDone:
-		// Done can mean the budget was reached or the context fired
-		// between rounds; report the latter as a cancellation.
-		if !h.run.done() {
-			if err := h.ctx.Err(); err != nil {
-				return h.run.rep, err
-			}
-		}
-	}
-	return h.run.rep, nil
+	err := h.wait()
+	return h.run.rep, err
 }
 
-// emit publishes one event without ever blocking the scheduler.
-func (h *QueryHandle) emit(info StepInfo) {
-	ev := QueryEvent{
-		Frame:           info.Frame,
-		Chunk:           info.Chunk,
-		New:             info.New,
-		SecondSightings: info.SecondSightings,
-		FramesProcessed: h.run.rep.FramesProcessed,
-		Found:           len(h.run.rep.Results),
-		Seconds:         h.run.rep.TotalSeconds(),
-	}
-	select {
-	case h.events <- ev:
-	default:
-		h.dropped.Add(1)
-	}
+// engineRun is the step-machine contract the engine adapter drives — the
+// next/detect/apply loop of Algorithm 1 that both the distinct-object
+// queryRun and the track-query trackRun implement. next, apply, takeEvents,
+// marginalValue, done and failure run on the scheduler goroutine; the
+// detect path, reached through front, is the only concurrency-safe part.
+type engineRun interface {
+	// front returns the run's detect front: source, detect path, caching
+	// mode.
+	front() *detectFront
+	// next draws the next pick; false means nothing to propose right now.
+	next() (core.Pick, bool)
+	// apply consumes one pick's detector output in pick order and queues
+	// the events it produced.
+	apply(p core.Pick, fr frameResult) error
+	// takeEvents hands over the events queued by next and apply, stamped
+	// with the run's running totals.
+	takeEvents() []QueryEvent
+	// marginalValue is the run's expected new results per frame, on one
+	// scale across run types so one GlobalBudget can rank them all.
+	marginalValue() float64
+	// done reports the run's own stopping condition; failure its pipeline
+	// error.
+	done() bool
+	failure() error
 }
 
-// engineQuery adapts a queryRun to the internal scheduler's Query
-// interface. Propose/Apply/Done/Finalize run on the scheduler goroutine;
-// DetectBatch runs on pool workers — several at once when the round spans
-// multiple affinity groups, which is why the detect scratches cycle
-// through a mutex-guarded free list instead of living on the run.
+// engineQuery is the one adapter between a run and the internal scheduler,
+// for every engine query kind: distinct-object or track, bounded or
+// standing, static or adaptive. Standing and sizing are per-instance
+// answers (engine.Standing, engine.Sized) the scheduler resolves once at
+// submit, so a static query still never has a clock read on its behalf.
+// Propose/Apply/Done/Finalize run on the scheduler goroutine; DetectBatch
+// runs on pool workers — several at once when the round spans multiple
+// affinity groups, which is why the detect scratches cycle through a
+// mutex-guarded free list instead of living on the run.
 type engineQuery struct {
-	run     *queryRun
+	run     engineRun
+	f       *detectFront
 	ctx     context.Context
-	handle  *QueryHandle
+	h       *handle
 	pending []core.Pick // picks proposed this round, consumed by Apply in order
 	frames  []int64     // reused Propose buffer (engine reads it only until the next Propose)
-
-	// sizer, when non-nil, is the AdaptiveRounds feedback controller; the
-	// sizedQuery wrapper exposes it to the scheduler, so the static path
-	// never even type-asserts positive.
-	sizer *sizer.Fleet
-
 	// scr recycles detect scratches and group observations across rounds;
-	// see scratchPool. Shared shape with trackEngineQuery.
+	// see scratchPool.
 	scr scratchPool
+
+	// standing selects park-on-exhaustion semantics (SubmitStanding).
+	standing bool
+	// sizer, when non-nil, is the AdaptiveRounds feedback controller, and
+	// scope attributes breaker-open edges to the controllers they shrink.
+	sizer *sizer.Fleet
+	scope capacityScope
 }
 
 // groupObs is one group's backend-served frame count this round.
@@ -702,19 +717,18 @@ type groupObs struct {
 	misses int
 }
 
-// scratchPool is the per-query detect-scratch recycler every engine
-// adapter (distinct-object engineQuery, track-query trackEngineQuery)
-// embeds: DetectBatch pops a scratch (one per in-flight affinity group),
-// results stay referenced until the round's applies finish, and the next
-// Propose — which by the scheduling contract happens strictly after those
-// applies — returns every used scratch to the free list.
+// scratchPool is the engine adapter's detect-scratch recycler:
+// DetectBatch pops a scratch (one per in-flight affinity group), results
+// stay referenced until the round's applies finish, and the next Propose —
+// which by the scheduling contract happens strictly after those applies —
+// returns every used scratch to the free list.
 //
 // It also records, per affinity key, how many of the current round's group
-// frames actually reached the backend (memo-cache hits resolve locally in
+// frames actually reached the backend (cache hits resolve locally in
 // microseconds and carry no backend-latency signal). Written by
-// DetectBatch under mu, consumed by the Sized wrappers' ObserveBatch on
-// the scheduler goroutine, cleared at the next Propose. Only populated
-// when the query is adaptive.
+// DetectBatch under mu, consumed by ObserveBatch on the scheduler
+// goroutine, cleared at the next Propose. Only populated when the query is
+// adaptive.
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*detectScratch
@@ -774,19 +788,26 @@ func (p *scratchPool) take(key uint64) int {
 }
 
 func (q *engineQuery) Done() bool {
-	return q.ctx.Err() != nil || q.run.done()
+	return q.ctx.Err() != nil || q.run.failure() != nil || q.run.done()
 }
 
 // MarginalValue implements the scheduler's Valued contract: the query's
-// expected new results per frame under its current Thompson beliefs (the
-// best enabled arm's prior-smoothed point estimate). Called once per round
-// on the scheduler goroutine, before Propose, only when the engine runs a
-// GlobalBudget. Pointer embedding promotes it through every wrapper
-// (sizedQuery, standingQuery, sizedStandingQuery), so woken standing
-// queries re-enter the plan at their refreshed belief automatically.
+// expected new results per frame under its current beliefs — a distinct
+// query's best enabled arm's prior-smoothed point estimate, a track
+// query's coarse best arm or remaining refine hit density. Called once per
+// round on the scheduler goroutine, before Propose, only when the engine
+// runs a GlobalBudget, so woken standing queries re-enter the plan at
+// their refreshed belief automatically.
 func (q *engineQuery) MarginalValue() float64 {
 	return q.run.marginalValue()
 }
+
+// StandingQuery implements engine.Standing.
+func (q *engineQuery) StandingQuery() bool { return q.standing }
+
+// SizedQuery implements engine.Sized: only an AdaptiveRounds query sizes
+// its own rounds.
+func (q *engineQuery) SizedQuery() bool { return q.sizer != nil }
 
 func (q *engineQuery) Propose(max int) []int64 {
 	q.scr.reclaim()
@@ -800,29 +821,42 @@ func (q *engineQuery) Propose(max int) []int64 {
 		q.pending = append(q.pending, p)
 		q.frames = append(q.frames, p.Frame)
 	}
+	// next may have queued events (a track plan's coarse→refine transition
+	// readies intervals — in dense and CoarseOnly plans all of them);
+	// publish them before the engine can observe an empty proposal and
+	// finalize.
+	q.flush()
 	return q.frames
 }
 
-// DetectBatch runs one affinity group's frames through the query's batched
-// detector — memo cache consulted first, the misses issued as a single
-// backend call — under the query's own context, so a cancellation mid-batch
-// aborts the call and surfaces through QueryHandle.Wait. Results are
-// returned as pointers into a recycled scratch buffer (boxing a pointer
-// into an interface allocates nothing); the scheduler copies the interface
-// values out before the applies, and the scratch stays untouched until the
-// next Propose reclaims it.
+// flush publishes the run's queued events to the handle's stream.
+func (q *engineQuery) flush() {
+	for _, ev := range q.run.takeEvents() {
+		q.h.emit(ev)
+	}
+}
+
+// DetectBatch runs one affinity group's frames through the run's batched
+// detector — cache consulted first, the misses issued as a single backend
+// call — under the query's own context, so a cancellation mid-batch aborts
+// the call and surfaces through Wait. Results are returned as pointers
+// into a recycled scratch buffer (boxing a pointer into an interface
+// allocates nothing); the scheduler copies the interface values out before
+// the applies, and the scratch stays untouched until the next Propose
+// reclaims it.
 func (q *engineQuery) DetectBatch(frames []int64) ([]any, error) {
 	s := q.scr.get()
-	results, err := q.run.detectBatchInto(q.ctx, frames, s)
+	results, err := q.f.detectBatchInto(q.ctx, frames, s)
 	if err != nil {
 		return nil, err
 	}
 	if q.sizer != nil {
-		// Record how many frames the backend actually served: memo-cache
-		// hits resolve locally and must not feed their near-zero latency
-		// into the AIMD controller as if the backend produced it.
+		// Record how many frames the backend actually served: cache hits
+		// (memo, L1, L2 or merged) resolve locally and must not feed their
+		// near-zero latency into the AIMD controller as if the backend
+		// produced it.
 		misses := len(frames)
-		if q.run.memo != nil || q.run.tier != nil {
+		if q.f.cached() {
 			misses = len(s.missIdx)
 		}
 		q.scr.note(q.AffinityKey(frames[0]), misses)
@@ -838,9 +872,11 @@ func (q *engineQuery) DetectBatch(frames []int64) ([]any, error) {
 }
 
 // AffinityKey implements engine.Affine: frames of the same (source, shard)
-// share a key, so the scheduler can group a round's detect batch by shard.
+// share a key, so the scheduler can group a round's detect batch by shard
+// (and a track refine interval spanning a shard boundary splits into one
+// inference batch per shard).
 func (q *engineQuery) AffinityKey(frame int64) uint64 {
-	src := q.run.src
+	src := q.f.src
 	if src.shardOf == nil {
 		return src.id << 16
 	}
@@ -863,84 +899,65 @@ func (q *engineQuery) Apply(frame int64, dets any) (bool, error) {
 	if p.Frame != frame {
 		return false, fmt.Errorf("exsample: engine applied frame %d out of order (expected %d)", frame, p.Frame)
 	}
-	info, err := q.run.apply(p, *dets.(*frameResult))
-	if err != nil {
+	if err := q.run.apply(p, *dets.(*frameResult)); err != nil {
 		return false, err
 	}
-	q.handle.emit(info)
+	q.flush()
 	return q.run.done(), nil
 }
 
 func (q *engineQuery) Finalize() {
-	if q.handle.unsub != nil {
-		q.handle.unsub()
+	if q.h.unsub != nil {
+		q.h.unsub()
 	}
-	close(q.handle.events)
-}
-
-// standingQuery opts an engineQuery into the scheduler's park/wake
-// lifecycle (engine.Standing). Like sizedQuery, it is a separate wrapper
-// type so a bounded query never implements the optional interface: the
-// scheduler's type assertion fails and exhaustion stays terminal.
-type standingQuery struct{ *engineQuery }
-
-// StandingQuery implements engine.Standing.
-func (q *standingQuery) StandingQuery() bool { return true }
-
-// sizedStandingQuery combines adaptive round sizing with the standing
-// lifecycle for SubmitStanding under EngineOptions.AdaptiveRounds.
-type sizedStandingQuery struct{ *sizedQuery }
-
-// StandingQuery implements engine.Standing.
-func (q *sizedStandingQuery) StandingQuery() bool { return true }
-
-// sizedQuery opts an engineQuery into the scheduler's adaptive round
-// sizing (engine.Sized). It is a separate wrapper type so the default
-// engine never implements Sized: with AdaptiveRounds off the scheduler's
-// type assertion fails and the static path runs clock-free and
-// byte-identical to before.
-type sizedQuery struct {
-	*engineQuery
-	// breakerOpens polls the source's cumulative breaker-open count (nil
-	// when no backend reports capacity); lastOpens is the edge detector.
-	breakerOpens func() int64
-	lastOpens    int64
-	// scope attributes capacity-loss edges to (shard, replica).
-	scope capacityScope
+	close(q.h.events)
 }
 
 // RoundQuota implements engine.Sized: it folds any breaker-open events
 // since the last round into the controller (capacity loss shrinks
 // multiplicatively before the next propose) and returns the fleet's
-// current quota. The cheap aggregate counter is the edge detector; only
-// on an edge does the scope do per-replica attribution.
-func (q *sizedQuery) RoundQuota(base int) int {
-	if q.breakerOpens != nil {
-		if n := q.breakerOpens(); n > q.lastOpens {
-			q.lastOpens = n
-			q.scope.loss(q.run.src, q.sizer)
-		}
-	}
+// current quota.
+func (q *engineQuery) RoundQuota(base int) int {
+	q.scope.poll(q.f.src, q.sizer)
 	return q.sizer.Quota()
 }
 
-// capacityScope attributes a query's breaker-open edges to the specific
-// (shard, replica) controller that should shrink, by diffing per-replica
-// open counts between edges. Anything it cannot attribute — a shard
-// whose backend exposes no per-replica detail, or an edge whose
-// per-replica diff shows nothing new — falls back to shrinking every
-// controller, the pre-scoping behavior.
+// ObserveBatch implements engine.Sized: one successfully dispatched
+// group's wall latency feeds the (query, backend-key) controller — but
+// charged against the frames the backend actually served, not the group
+// size. A group resolved partly (or wholly) from the cache would
+// otherwise report near-zero per-frame latency, collapse the controller's
+// baseline, and make the next genuine backend batch look like queueing.
+// All-hit groups carry no backend signal and are skipped outright.
+func (q *engineQuery) ObserveBatch(key uint64, frames int, seconds float64) {
+	if misses := q.scr.take(key); misses > 0 {
+		q.sizer.Observe(key, misses, seconds)
+	}
+}
+
+// capacityScope detects a query's breaker-open edges and attributes each
+// to the specific (shard, replica) controller that should shrink, by
+// diffing per-replica open counts between edges. Anything it cannot
+// attribute — a shard whose backend exposes no per-replica detail, or an
+// edge whose per-replica diff shows nothing new — falls back to shrinking
+// every controller, the pre-scoping behavior.
 type capacityScope struct {
+	// opens is the source's aggregate breaker-open count at the last edge
+	// (or at seeding time): the cheap edge detector polled every round.
+	opens int64
 	// last maps shard index → per-replica opens at the last edge (or at
 	// seeding time). A shard first sighted mid-run is baselined, not
 	// charged: its historical opens predate this query's view.
 	last map[int][]int64
 }
 
-// seed snapshots the per-replica baselines and registers per-replica
-// quota controllers for every scatter-enabled shard. Called once at
-// submit, before the first round.
+// seed snapshots the open-count baselines and registers per-replica quota
+// controllers for every scatter-enabled shard. Called once at submit,
+// before the first round.
 func (cs *capacityScope) seed(src *querySource, fleet *sizer.Fleet) {
+	if src.breakerOpens != nil {
+		cs.opens = src.breakerOpens()
+	}
 	if src.replicaFleets == nil {
 		return
 	}
@@ -954,6 +971,18 @@ func (cs *capacityScope) seed(src *querySource, fleet *sizer.Fleet) {
 		if rf.scatter && len(rf.weights) > 1 {
 			fleet.SeedReplicas(shardAffinityKey(src, rf.shard), rf.weights)
 		}
+	}
+}
+
+// poll checks the source's aggregate breaker-open count and, only on an
+// edge, does the per-replica attribution.
+func (cs *capacityScope) poll(src *querySource, fleet *sizer.Fleet) {
+	if src.breakerOpens == nil {
+		return
+	}
+	if n := src.breakerOpens(); n > cs.opens {
+		cs.opens = n
+		cs.loss(src, fleet)
 	}
 }
 
@@ -987,18 +1016,5 @@ func (cs *capacityScope) loss(src *querySource, fleet *sizer.Fleet) {
 	}
 	if !attributed {
 		fleet.CapacityLossAll()
-	}
-}
-
-// ObserveBatch implements engine.Sized: one successfully dispatched
-// group's wall latency feeds the (query, backend-key) controller — but
-// charged against the frames the backend actually served, not the group
-// size. A group resolved partly (or wholly) from the memo cache would
-// otherwise report near-zero per-frame latency, collapse the controller's
-// baseline, and make the next genuine backend batch look like queueing.
-// All-hit groups carry no backend signal and are skipped outright.
-func (q *sizedQuery) ObserveBatch(key uint64, frames int, seconds float64) {
-	if misses := q.scr.take(key); misses > 0 {
-		q.sizer.Observe(key, misses, seconds)
 	}
 }

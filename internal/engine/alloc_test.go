@@ -56,6 +56,7 @@ func (q *allocQuery) AffinityKey(frame int64) uint64 {
 // allocation budget is guarded too.
 type sizedAllocQuery struct{ allocQuery }
 
+func (q *sizedAllocQuery) SizedQuery() bool        { return true }
 func (q *sizedAllocQuery) RoundQuota(base int) int { return q.sizer.quota }
 func (q *sizedAllocQuery) ObserveBatch(key uint64, frames int, seconds float64) {
 	q.sizer.observed++

@@ -60,7 +60,8 @@ type Query interface {
 // real per-shard batch endpoint wants. Grouping only reorders work
 // *within* a round (every proposed frame still runs that round, and
 // results are still applied in propose order), so it cannot starve a shard
-// or a query, and it never affects query results.
+// or a query, and it never affects query results. Submit resolves it once
+// per query, as it does every optional refinement below.
 type Affine interface {
 	// AffinityKey returns the grouping key for a frame. Keys are opaque;
 	// only equality matters, but implementations should make keys unique
@@ -72,10 +73,16 @@ type Affine interface {
 // query supplies its own per-round detector quota in place of the engine's
 // static FramesPerRound, and the scheduler feeds back the wall latency of
 // every dispatched DetectBatch group so a feedback controller (see
-// internal/sizer) can close the loop. Queries that do not implement Sized
-// cost the scheduler nothing — no clocks are read on their behalf, which
-// is what keeps the default path byte-identical to the static engine.
+// internal/sizer) can close the loop. Sizing is a per-instance answer,
+// resolved once at Submit: a query that does not implement Sized, or whose
+// SizedQuery reports false, is static and costs the scheduler nothing — no
+// clocks are read on its behalf, which is what keeps the default path
+// byte-identical to the static engine. One query type can therefore serve
+// both static and adaptive instances.
 type Sized interface {
+	// SizedQuery reports whether this instance adapts its own quota.
+	// Implementations return a constant; Submit reads it once.
+	SizedQuery() bool
 	// RoundQuota returns the query's frame quota for the next round; base
 	// is the engine's static FramesPerRound. Called once per round on the
 	// scheduler goroutine, before Propose. Values below 1 are clamped to 1.
@@ -95,7 +102,8 @@ type Sized interface {
 // GlobalBudget across queries proportionally to these values, so a nearly
 // exhausted query naturally decays toward the floor quota while a fresh or
 // just-woken standing query re-enters at its prior belief. Queries that do
-// not implement Valued weigh in at a neutral constant value of 1.
+// not implement Valued (resolved once at Submit) weigh in at a neutral
+// constant value of 1.
 type Valued interface {
 	// MarginalValue returns the query's expected new results per frame.
 	// Called once per round on the scheduler goroutine, before Propose;
@@ -116,8 +124,7 @@ type Valued interface {
 // they did not exist.
 type Standing interface {
 	// StandingQuery reports whether the query wants park-on-exhaustion
-	// semantics. Implementations return a constant; the scheduler checks it
-	// only when a Propose comes back empty.
+	// semantics. Implementations return a constant; Submit reads it once.
 	StandingQuery() bool
 }
 
@@ -211,7 +218,6 @@ var ErrClosed = errors.New("engine: closed")
 // round scratch and reused across rounds.
 type job struct {
 	h      *Handle
-	sized  Sized // non-nil when the query adapts its own quota
 	frames []int64
 	dets   []any
 	err    error // first detect-group error, in group order
@@ -227,7 +233,7 @@ type group struct {
 	frames  []int64
 	idx     []int // positions in j.frames / j.dets
 	err     error
-	seconds float64 // DetectBatch wall latency (Sized queries only)
+	seconds float64 // DetectBatch wall latency (sized queries only)
 	task    func()
 }
 
@@ -347,6 +353,14 @@ func (e *Engine) Submit(q Query) (*Handle, error) {
 		return nil, ErrClosed
 	}
 	h := &Handle{e: e, q: q, done: make(chan struct{})}
+	h.affine, _ = q.(Affine)
+	h.valued, _ = q.(Valued)
+	if s, ok := q.(Sized); ok && s.SizedQuery() {
+		h.sized = s
+	}
+	if st, ok := q.(Standing); ok {
+		h.standing = st.StandingQuery()
+	}
 	e.active = append(e.active, h)
 	e.cond.Signal()
 	return h, nil
@@ -436,14 +450,15 @@ func (e *Engine) group(j *job, key uint64) *group {
 
 // runGroup executes one group's DetectBatch on a pool worker and scatters
 // the results into the job's per-frame slots. Wall latency is measured
-// only for Sized queries, so the static path never reads a clock.
+// only for sized queries, so the static path never reads a clock.
 func (e *Engine) runGroup(g *group) {
+	sized := g.j.h.sized != nil
 	var start time.Time
-	if g.j.sized != nil {
+	if sized {
 		start = time.Now()
 	}
 	dets, err := g.j.h.q.DetectBatch(g.frames)
-	if g.j.sized != nil {
+	if sized {
 		g.seconds = time.Since(start).Seconds()
 	}
 	if err == nil && len(dets) != len(g.frames) {
@@ -482,12 +497,11 @@ func (e *Engine) runRound(round []*Handle) {
 			e.finalize(h, ReasonDone, nil)
 			continue
 		}
-		sized, _ := h.q.(Sized)
 		var quota int
 		if budgeted {
 			quota = s.grants[i]
-		} else if sized != nil {
-			if quota = sized.RoundQuota(base); quota < 1 {
+		} else if h.sized != nil {
+			if quota = h.sized.RoundQuota(base); quota < 1 {
 				quota = 1
 			}
 		} else {
@@ -500,7 +514,7 @@ func (e *Engine) runRound(round []*Handle) {
 			// is already there), the handle was cancelled, or the engine is
 			// closing — and then the handle simply stays on the schedule:
 			// the next round re-proposes or settles it.
-			if st, ok := h.q.(Standing); ok && st.StandingQuery() {
+			if h.standing {
 				e.park(h)
 				continue
 			}
@@ -508,7 +522,7 @@ func (e *Engine) runRound(round []*Handle) {
 			continue
 		}
 		j := s.job()
-		j.h, j.sized, j.frames = h, sized, frames
+		j.h, j.frames = h, frames
 		if cap(j.dets) < len(frames) {
 			j.dets = make([]any, len(frames))
 		} else {
@@ -527,11 +541,11 @@ func (e *Engine) runRound(round []*Handle) {
 	var frameCount int64
 	grouped := false
 	for _, j := range jobs {
-		aff, ok := j.h.q.(Affine)
+		aff := j.h.affine
 		first := s.ngroups // this job's groups start here
 		for i, frame := range j.frames {
 			var key uint64
-			if ok {
+			if aff != nil {
 				key = aff.AffinityKey(frame)
 			}
 			var g *group
@@ -584,7 +598,7 @@ func (e *Engine) runRound(round []*Handle) {
 
 	// Propagate group errors to their jobs deterministically — the first
 	// failed group in creation (propose) order wins — and feed successful
-	// groups' latency back to their Sized queries in the same order.
+	// groups' latency back to their sized queries in the same order.
 	for _, g := range created {
 		if g.err != nil {
 			if g.j.err == nil {
@@ -592,8 +606,8 @@ func (e *Engine) runRound(round []*Handle) {
 			}
 			continue
 		}
-		if g.j.sized != nil {
-			g.j.sized.ObserveBatch(g.key, len(g.frames), g.seconds)
+		if g.j.h.sized != nil {
+			g.j.h.sized.ObserveBatch(g.key, len(g.frames), g.seconds)
 		}
 	}
 
@@ -623,7 +637,7 @@ func (e *Engine) runRound(round []*Handle) {
 		for i := range j.dets {
 			j.dets[i] = nil
 		}
-		j.h, j.sized, j.frames = nil, nil, nil
+		j.h, j.frames = nil, nil
 	}
 	for _, g := range created {
 		g.j = nil
@@ -659,14 +673,14 @@ func (e *Engine) planBudget(round []*Handle) {
 			continue
 		}
 		qcap := base
-		if sized, ok := h.q.(Sized); ok {
-			if qcap = sized.RoundQuota(base); qcap < 1 {
+		if h.sized != nil {
+			if qcap = h.sized.RoundQuota(base); qcap < 1 {
 				qcap = 1
 			}
 		}
 		v := 1.0
-		if val, ok := h.q.(Valued); ok {
-			v = val.MarginalValue()
+		if h.valued != nil {
+			v = h.valued.MarginalValue()
 			if v != v || v < 0 { // NaN or negative: no signal
 				v = 0
 			}
@@ -819,8 +833,15 @@ func (e *Engine) finalize(h *Handle, reason Reason, err error) {
 
 // Handle tracks one submitted query.
 type Handle struct {
-	e         *Engine
-	q         Query
+	e *Engine
+	q Query
+	// The optional refinements, resolved once at Submit: nil (false) when
+	// the query does not implement them, and sized also when its
+	// SizedQuery reports false.
+	affine    Affine
+	valued    Valued
+	sized     Sized
+	standing  bool
 	cancelled atomic.Bool
 	// parked and wakePending are guarded by e.mu: parked marks a standing
 	// query waiting off-schedule for new data; wakePending remembers a wake

@@ -21,8 +21,8 @@ import (
 // queryRun is the incremental step state machine behind Search, Session and
 // Engine: pick a frame (next), run the detector (detectBatch — the only
 // concurrency-safe method), and feed the detections through the
-// discriminator, cost accounting and sampler bookkeeping (apply). Driving
-// next/detect/apply in a loop IS Algorithm 1 — there is exactly one
+// discriminator, cost accounting and sampler bookkeeping (step). Driving
+// next/detect/step in a loop IS Algorithm 1 — there is exactly one
 // implementation of the pipeline, and every entry point delegates to it,
 // which is what keeps Search ≡ Session ≡ Engine for the same seed.
 //
@@ -32,25 +32,16 @@ import (
 // training phase as explicit states, so batching drivers need no special
 // cases.
 //
-// Only apply mutates state, and callers must invoke it in pick order from a
+// Only step mutates state, and callers must invoke it in pick order from a
 // single goroutine; detectBatch may be fanned out across workers between a
-// batch of next calls and their applies, exactly like batched Search
+// batch of next calls and their steps, exactly like batched Search
 // (§III-F).
 type queryRun struct {
-	src      *querySource
-	query    Query
-	opts     Options
-	detector detect.BatchDetector
-	dis      *discrim.Discriminator
-	curve    *metrics.RecallCurve
-	// memo, when non-nil, memoizes detector output across queries; hits
-	// are charged decode-only cost. Exactly one of memo and tier is
-	// non-nil for a cached run: memo is the classic in-process path (keyed
-	// by the per-process source id, byte-for-byte the pre-tier pipeline),
-	// tier the shared result tier (keyed by the source's content address,
-	// resolving through L1 → remote L2 → singleflighted detector fill).
-	memo *cache.Cache
-	tier *cachestore.Tiered
+	detectFront
+	query Query
+	opts  Options
+	dis   *discrim.Discriminator
+	curve *metrics.RecallCurve
 	// aware enables the cache-aware sampler tie-break: when Thompson
 	// beliefs tie within epsilon, prefer the chunk with the higher cached
 	// fraction (see core.Config.CachedFrac).
@@ -98,12 +89,9 @@ type queryRun struct {
 	trainSpent  int64
 	trainOrder  *video.UniformOrder
 
-	// seq is the scratch behind detectOne — the sequential Search loop and
-	// Session.Step run one batch at a time on one goroutine, so a single
-	// per-run scratch makes the whole step loop allocation-free between
-	// detector calls. The engine's concurrent groups never use it.
-	seq detectScratch
-	one [1]int64
+	// events queues the engine's per-frame stream (see apply); the
+	// sequential drivers never fill it.
+	events []QueryEvent
 
 	rep       *Report
 	maxFrames int64
@@ -115,7 +103,7 @@ type queryRun struct {
 	// the elastic sampler path.
 	standing bool
 	// err records a mid-run pipeline rebuild failure (re-chunk, scorer);
-	// surfaced by the next apply and by Search's driver.
+	// surfaced by the next step and by Search's driver.
 	err error
 }
 
@@ -130,9 +118,74 @@ type frameResult struct {
 	remote bool
 }
 
+// detectFront is the detection half every run type shares — the
+// distinct-object queryRun and the track-query trackRun: the class's
+// batched detector, the caching mode, and the sequential scratch behind
+// detectOne. Its detect methods are the only run methods safe to call
+// concurrently (for disjoint scratches).
+type detectFront struct {
+	src      *querySource
+	class    string
+	detector detect.BatchDetector
+	// memo, when non-nil, memoizes detector output across queries; hits
+	// are charged decode-only cost. Exactly one of memo and tier is
+	// non-nil for a cached run: memo is the classic in-process path (keyed
+	// by the per-process source id, byte-for-byte the pre-tier pipeline),
+	// tier the shared result tier (keyed by the source's content address,
+	// resolving through L1 → remote L2 → singleflighted detector fill).
+	memo *cache.Cache
+	tier *cachestore.Tiered
+	// seq is the scratch behind detectOne — the sequential Search loop and
+	// Session.Step run one batch at a time on one goroutine, so a single
+	// per-run scratch makes the whole step loop allocation-free between
+	// detector calls. The engine's concurrent groups never use it.
+	seq detectScratch
+	one [1]int64
+}
+
+// newDetectFront builds the class's detector over src under the caching
+// mode cc. Sources whose detector output is not a pure function of the
+// frame (e.g. under failure injection) run uncached whatever cc says.
+func newDetectFront(src *querySource, class string, cc cacheConfig) (detectFront, error) {
+	if cc.memo != nil && cc.tier != nil {
+		return detectFront{}, fmt.Errorf("exsample: a run caches through a memo cache or a shared tier, not both")
+	}
+	detector, err := src.newDetector(class)
+	if err != nil {
+		return detectFront{}, err
+	}
+	f := detectFront{src: src, class: class, detector: detector}
+	if src.cacheable {
+		f.memo, f.tier = cc.memo, cc.tier
+	}
+	return f, nil
+}
+
+// front returns the run's detect front; the engine adapter reads the
+// source, the detect path and the caching mode through it.
+func (f *detectFront) front() *detectFront { return f }
+
+// cached reports whether the run memoizes detector output (memo or tier).
+func (f *detectFront) cached() bool { return f.memo != nil || f.tier != nil }
+
+// countCache folds one applied frame's cache outcome into a report's
+// counters; an uncached run counts nothing.
+func (f *detectFront) countCache(fr frameResult, hits, remote, misses *int64) {
+	switch {
+	case !f.cached():
+	case !fr.cached:
+		*misses++
+	default:
+		*hits++
+		if fr.remote {
+			*remote++
+		}
+	}
+}
+
 // cacheConfig bundles the caching mode a run operates under — the engine's
 // one decision point. The zero value is an uncached run; memo and tier are
-// mutually exclusive (newQueryRun rejects both set).
+// mutually exclusive (newDetectFront rejects both set).
 type cacheConfig struct {
 	memo *cache.Cache
 	tier *cachestore.Tiered
@@ -228,7 +281,7 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 			return nil, fmt.Errorf("exsample: class %q has no instances on any active shard of %q", q.Class, src.name)
 		}
 	}
-	detector, err := src.newDetector(q.Class)
+	front, err := newDetectFront(src, q.Class, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -256,31 +309,19 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 	if maxFrames == 0 || maxFrames > numFrames {
 		maxFrames = numFrames
 	}
-	if cc.memo != nil && cc.tier != nil {
-		return nil, fmt.Errorf("exsample: a run caches through a memo cache or a shared tier, not both")
-	}
-	if !src.cacheable {
-		cc = cacheConfig{}
-	}
-	if cc.memo == nil && cc.tier == nil {
-		cc.aware = false
-	}
 	r := &queryRun{
-		src:        src,
-		query:      q,
-		opts:       opts,
-		detector:   detector,
-		dis:        dis,
-		curve:      curve,
-		memo:       cc.memo,
-		tier:       cc.tier,
-		aware:      cc.aware,
-		snap:       snap,
-		truthSeen:  truthSeen,
-		truthTotal: total,
-		rep:        &Report{Strategy: opts.Strategy},
-		maxFrames:  maxFrames,
-		standing:   standing,
+		detectFront: front,
+		query:       q,
+		opts:        opts,
+		dis:         dis,
+		curve:       curve,
+		aware:       cc.aware && front.cached(),
+		snap:        snap,
+		truthSeen:   truthSeen,
+		truthTotal:  total,
+		rep:         &Report{Strategy: opts.Strategy},
+		maxFrames:   maxFrames,
+		standing:    standing,
 	}
 	if err := r.initStrategy(); err != nil {
 		return nil, err
@@ -741,25 +782,25 @@ func (r *queryRun) marginalValue() float64 {
 }
 
 // detectBatch runs the detector on a batch of frames, consulting the
-// cross-query memo cache first when enabled: cache hits are resolved
-// locally and only the misses — as one subsequence, in order — reach the
-// backend in a single DetectBatch call. It is safe to call concurrently
-// for disjoint batches of the same run (the detector contract requires
+// cross-query cache first when enabled: cache hits are resolved locally
+// and only the misses — as one subsequence, in order — reach the backend
+// in a single DetectBatch call. It is safe to call concurrently for
+// disjoint batches of the same run (the detector contract requires
 // concurrency safety; the cache is lock-striped). ctx cancels the
 // underlying detector call; the error surfaces to the caller with no
 // results applied.
-func (r *queryRun) detectBatch(ctx context.Context, frames []int64) ([]frameResult, error) {
-	return r.detectBatchInto(ctx, frames, nil)
+func (f *detectFront) detectBatch(ctx context.Context, frames []int64) ([]frameResult, error) {
+	return f.detectBatchInto(ctx, frames, nil)
 }
 
 // detectBatchInto is detectBatch writing through the caller's reusable
 // scratch (nil allocates fresh buffers). The returned slice aliases the
 // scratch and is valid until the scratch's next use.
-func (r *queryRun) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
-	if r.tier != nil {
-		return detectFramesTiered(ctx, r.detector, r.tier, r.src.contentID, r.query.Class, frames, scr)
+func (f *detectFront) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
+	if f.tier != nil {
+		return detectFramesTiered(ctx, f.detector, f.tier, f.src.contentID, f.class, frames, scr)
 	}
-	return detectFrames(ctx, r.detector, r.memo, r.src.id, r.query.Class, frames, scr)
+	return detectFrames(ctx, f.detector, f.memo, f.src.id, f.class, frames, scr)
 }
 
 // detectFrames is the memo-aware batched detect shared by every run type
@@ -899,39 +940,30 @@ func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier
 }
 
 // detectOne is detectBatch for a single frame — the shape the sequential
-// Search loop and Session's Step use. It runs through the per-run
-// sequential scratch, so the steady-state step loop allocates nothing
-// between detector calls.
-func (r *queryRun) detectOne(ctx context.Context, frame int64) (frameResult, error) {
-	r.one[0] = frame
-	res, err := r.detectBatchInto(ctx, r.one[:], &r.seq)
+// drivers (Search, Session's Step, TrackSearch) use. It runs through the
+// per-run sequential scratch, so the steady-state step loop allocates
+// nothing between detector calls.
+func (f *detectFront) detectOne(ctx context.Context, frame int64) (frameResult, error) {
+	f.one[0] = frame
+	res, err := f.detectBatchInto(ctx, f.one[:], &f.seq)
 	if err != nil {
 		return frameResult{}, err
 	}
 	return res[0], nil
 }
 
-// apply charges the frame's decode and inference cost, feeds the detections
+// step charges the frame's decode and inference cost, feeds the detections
 // through the discriminator, grows the report and recall curve, and updates
 // the sampler's chunk statistics. It must be called in pick order from a
 // single goroutine.
-func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
+func (r *queryRun) step(p core.Pick, fr frameResult) (StepInfo, error) {
 	if r.err != nil {
 		return StepInfo{}, r.err
 	}
 	rep := r.rep
 	rep.DecodeSeconds += r.src.decodeCost(p.Frame)
 	rep.DetectSeconds += fr.cost
-	if r.memo != nil || r.tier != nil {
-		if fr.cached {
-			rep.CacheHits++
-			if fr.remote {
-				rep.RemoteCacheHits++
-			}
-		} else {
-			rep.CacheMisses++
-		}
-	}
+	r.countCache(fr, &rep.CacheHits, &rep.RemoteCacheHits, &rep.CacheMisses)
 	rep.FramesProcessed++
 	newObjs, secondObjs := r.dis.ObserveObjects(p.Frame, fr.dets)
 
@@ -978,6 +1010,36 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	}
 	return info, nil
 }
+
+// apply is step for the engine: it also queues the frame's QueryEvent,
+// stamped with the running totals, for the handle's stream.
+func (r *queryRun) apply(p core.Pick, fr frameResult) error {
+	info, err := r.step(p, fr)
+	if err != nil {
+		return err
+	}
+	r.events = append(r.events, QueryEvent{
+		Frame:           info.Frame,
+		Chunk:           info.Chunk,
+		New:             info.New,
+		SecondSightings: info.SecondSightings,
+		FramesProcessed: r.rep.FramesProcessed,
+		Found:           len(r.rep.Results),
+		Seconds:         r.rep.TotalSeconds(),
+	})
+	return nil
+}
+
+// takeEvents hands the queued events to the engine adapter; the backing
+// array is reused by the next apply.
+func (r *queryRun) takeEvents() []QueryEvent {
+	ev := r.events
+	r.events = r.events[:0]
+	return ev
+}
+
+// failure returns the run's mid-run pipeline error, if any.
+func (r *queryRun) failure() error { return r.err }
 
 // feedback applies the (d0, d1) split to the sampler, using the technical
 // report's cross-chunk accounting when enabled: the -1 of a second sighting

@@ -64,7 +64,7 @@ func runSequential(run *queryRun) error {
 		if err != nil {
 			return err
 		}
-		if _, err := run.apply(p, fr); err != nil {
+		if _, err := run.step(p, fr); err != nil {
 			return err
 		}
 	}
@@ -140,7 +140,7 @@ func runBatched(run *queryRun, batch, parallelism int) error {
 			copy(results, sub)
 		}
 		for i, p := range picks {
-			if _, err := run.apply(p, results[i]); err != nil {
+			if _, err := run.step(p, results[i]); err != nil {
 				return err
 			}
 			if run.done() {

@@ -74,7 +74,7 @@ func (s *Session) Step() (info StepInfo, ok bool, err error) {
 	if err != nil {
 		return StepInfo{}, false, err
 	}
-	info, err = s.run.apply(p, fr)
+	info, err = s.run.step(p, fr)
 	if err != nil {
 		return StepInfo{}, false, err
 	}
