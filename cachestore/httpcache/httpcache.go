@@ -2,8 +2,9 @@
 // that speaks a small JSON batch protocol to a cache server, and a Handler
 // that serves any cachestore.Store over the same protocol (the loopback
 // pairing used by tests, examples and exserve's -cache-remote mode). It
-// mirrors backend/httpbatch: timeouts, bounded retries with backoff, and a
-// per-endpoint concurrency cap.
+// shares one transport with backend/httpbatch: per-attempt timeouts,
+// bounded retries with backoff, a per-endpoint concurrency cap, bounded
+// response reads and the same detection wire form.
 //
 // # Wire protocol
 //
@@ -28,18 +29,16 @@
 //	{"stored": 1}
 //
 // found:true with no dets is a valid memoized "nothing in this frame".
-// Errors follow httpbatch exactly: a non-200 status fails the batch, 5xx and
-// transport errors retry up to Config.Retries with a short backoff, 4xx is
-// terminal (the request itself is malformed). Every attempt carries
+// Errors follow httpbatch exactly, through the same transport: a non-200
+// status fails the batch, 5xx and transport errors retry up to
+// Config.Retries with a short backoff, 4xx and a 200 body that does not
+// parse or exceeds 64 MiB are terminal. Every attempt carries
 // Config.Timeout and honors the caller's context.
 package httpcache
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -47,18 +46,8 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
+	"github.com/exsample/exsample/internal/httpx"
 )
-
-// wireDetection is the wire form of one detection — the same shape
-// backend/httpbatch puts on the wire, so a cache entry round-trips exactly
-// what a remote detector would have produced.
-type wireDetection struct {
-	Frame   int64      `json:"frame"`
-	Class   string     `json:"class"`
-	Box     [4]float64 `json:"box"`
-	Score   float64    `json:"score"`
-	TruthID int        `json:"truth_id"`
-}
 
 // getRequest / getResponse are the wire forms of a batched lookup.
 type getRequest struct {
@@ -66,8 +55,8 @@ type getRequest struct {
 }
 
 type getEntry struct {
-	Found bool            `json:"found"`
-	Dets  []wireDetection `json:"dets,omitempty"`
+	Found bool              `json:"found"`
+	Dets  []httpx.Detection `json:"dets,omitempty"`
 }
 
 type getResponse struct {
@@ -80,8 +69,8 @@ type putRequest struct {
 }
 
 type putEntry struct {
-	Key  string          `json:"key"`
-	Dets []wireDetection `json:"dets,omitempty"`
+	Key  string            `json:"key"`
+	Dets []httpx.Detection `json:"dets,omitempty"`
 }
 
 type putResponse struct {
@@ -114,31 +103,6 @@ type Config struct {
 	MaxBatch int
 }
 
-func (c Config) withDefaults() Config {
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 30 * time.Second
-	}
-	switch {
-	case c.Retries == 0:
-		c.Retries = 2
-	case c.Retries < 0:
-		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
-	}
-	return c
-}
-
 // Stats is a snapshot of a client's traffic counters.
 type Stats struct {
 	// Gets/Puts count successful batched calls; Keys the keys they
@@ -149,12 +113,6 @@ type Stats struct {
 	Requests, Retries int64
 }
 
-// bufPool recycles response-read and handler-encode buffers, whose
-// lifetimes are provably synchronous (request bodies are not pooled — same
-// reasoning as httpbatch: the transport may touch the body reader after Do
-// returns).
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // Client is a remote cache store: it implements cachestore.Store over the
 // httpcache wire protocol and is safe for concurrent use by any number of
 // queries. A failing remote never fails a query — the Tiered store above
@@ -162,12 +120,12 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // honestly.
 type Client struct {
 	cfg    Config
+	tr     *httpx.Client
 	getURL string
 	putURL string
-	sem    chan struct{}
 
 	mu    sync.Mutex
-	stats Stats
+	stats Stats // Requests and Retries are counted by tr
 }
 
 // Compile-time interface check.
@@ -178,27 +136,33 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("httpcache: Config.Endpoint is required")
 	}
-	if cfg.Retries < -1 || cfg.MaxConcurrent < 0 || cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("httpcache: negative MaxConcurrent or MaxBatch, or Retries below -1")
+	if cfg.MaxBatch < 0 {
+		return nil, fmt.Errorf("httpcache: negative MaxBatch")
 	}
-	if cfg.Timeout < 0 || cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("httpcache: negative Timeout or RetryBackoff")
+	tr, err := httpx.New("httpcache", httpx.Config{
+		HTTPClient:    cfg.HTTPClient,
+		Timeout:       cfg.Timeout,
+		Retries:       cfg.Retries,
+		RetryBackoff:  cfg.RetryBackoff,
+		MaxConcurrent: cfg.MaxConcurrent,
+	})
+	if err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = 256
+	}
 	base := strings.TrimSuffix(cfg.Endpoint, "/")
-	return &Client{
-		cfg:    cfg,
-		getURL: base + "/get",
-		putURL: base + "/put",
-		sem:    make(chan struct{}, cfg.MaxConcurrent),
-	}, nil
+	return &Client{cfg: cfg, tr: tr, getURL: base + "/get", putURL: base + "/put"}, nil
 }
 
 // Stats returns a snapshot of the client's traffic counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.Requests, st.Retries = c.tr.Counts()
+	return st
 }
 
 // GetBatch implements cachestore.Store. Batches beyond MaxBatch are split
@@ -225,12 +189,8 @@ func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cach
 	for i, k := range keys {
 		req.Keys[i] = k.Encode()
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("httpcache: encode get request: %w", err)
-	}
 	var resp getResponse
-	if err := c.roundTrip(ctx, c.getURL, body, &resp); err != nil {
+	if err := c.tr.Do(ctx, c.getURL, req, &resp); err != nil {
 		return err
 	}
 	if len(resp.Entries) != len(keys) {
@@ -241,7 +201,7 @@ func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cach
 			out[i] = cachestore.Entry{}
 			continue
 		}
-		out[i] = cachestore.Entry{Found: true, Dets: fromWire(e.Dets)}
+		out[i] = cachestore.Entry{Found: true, Dets: httpx.Decode(e.Dets)}
 	}
 	c.mu.Lock()
 	c.stats.Gets++
@@ -282,14 +242,10 @@ func (c *Client) putChunk(ctx context.Context, keys []cachestore.Key, vals [][]b
 		if i < len(vals) {
 			v = vals[i]
 		}
-		req.Entries[i] = putEntry{Key: k.Encode(), Dets: toWire(v)}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("httpcache: encode put request: %w", err)
+		req.Entries[i] = putEntry{Key: k.Encode(), Dets: httpx.Encode(v)}
 	}
 	var resp putResponse
-	if err := c.roundTrip(ctx, c.putURL, body, &resp); err != nil {
+	if err := c.tr.Do(ctx, c.putURL, req, &resp); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -299,136 +255,9 @@ func (c *Client) putChunk(ctx context.Context, keys []cachestore.Key, vals [][]b
 	return nil
 }
 
-// roundTrip runs one request through admission control and the retry loop —
-// the httpbatch retry discipline verbatim: doomed deadlines terminate
-// early, cancellation mid-backoff is terminal, and only attempts actually
-// issued count as retries.
-func (c *Client) roundTrip(ctx context.Context, url string, body []byte, into any) error {
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	var retries int64
-	var err error
-	for attempt := 0; ; attempt++ {
-		var retryable bool
-		retryable, err = c.attempt(ctx, url, body, into)
-		if err == nil {
-			break
-		}
-		if !retryable || attempt >= c.cfg.Retries || ctx.Err() != nil {
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return err
-		}
-		if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= c.cfg.RetryBackoff {
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return fmt.Errorf("%w before the retry backoff (last attempt: %v)", context.DeadlineExceeded, err)
-		}
-		select {
-		case <-time.After(c.cfg.RetryBackoff):
-			retries++
-		case <-ctx.Done():
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return ctx.Err()
-		}
-	}
-	c.mu.Lock()
-	c.stats.Requests += retries + 1
-	c.stats.Retries += retries
-	c.mu.Unlock()
-	return nil
-}
-
-// attempt issues one HTTP request, decoding the 200 body into into.
-// retryable reports whether a failure is worth retrying (transport errors
-// and 5xx).
-func (c *Client) attempt(ctx context.Context, url string, body []byte, into any) (retryable bool, err error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return false, fmt.Errorf("httpcache: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		return true, fmt.Errorf("httpcache: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		err := fmt.Errorf("httpcache: endpoint returned %s: %s", httpResp.Status, bytes.TrimSpace(msg))
-		return httpResp.StatusCode >= 500, err
-	}
-	// Read whole, then decode: a reset mid-body stays retryable, a complete
-	// body that does not parse is a terminal protocol error.
-	respBuf := bufPool.Get().(*bytes.Buffer)
-	respBuf.Reset()
-	defer bufPool.Put(respBuf)
-	if _, err := respBuf.ReadFrom(httpResp.Body); err != nil {
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		return true, fmt.Errorf("httpcache: read response: %w", err)
-	}
-	if err := json.Unmarshal(respBuf.Bytes(), into); err != nil {
-		return false, fmt.Errorf("httpcache: decode response: %w", err)
-	}
-	return false, nil
-}
-
-func toWire(dets []backend.Detection) []wireDetection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]wireDetection, len(dets))
-	for i, d := range dets {
-		out[i] = wireDetection{
-			Frame:   d.Frame,
-			Class:   d.Class,
-			Box:     [4]float64{d.Box.X1, d.Box.Y1, d.Box.X2, d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
-}
-
-func fromWire(dets []wireDetection) []backend.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]backend.Detection, len(dets))
-	for i, w := range dets {
-		out[i] = backend.Detection{
-			Frame:   w.Frame,
-			Class:   w.Class,
-			Box:     backend.Box{X1: w.Box[0], Y1: w.Box[1], X2: w.Box[2], Y2: w.Box[3]},
-			Score:   w.Score,
-			TruthID: w.TruthID,
-		}
-	}
-	return out
-}
-
-// Server-side bounds, mirroring httpbatch's maxRequestBytes discipline.
+// Server-side bounds on a decoded request; the body itself is bounded by
+// the shared transport.
 const (
-	// maxRequestBytes bounds a request body the Handler will decode.
-	maxRequestBytes = 8 << 20
 	// maxKeysPerRequest bounds keys (or entries) per request — far above
 	// any batch a well-behaved client sends (MaxBatch defaults to 256).
 	maxKeysPerRequest = 4096
@@ -446,11 +275,7 @@ const (
 // version-skewed client cannot silently poison a shared store. Pair it with
 // any mux: http.Handle("/cache/", httpcache.Handler(store)).
 func Handler(store cachestore.Store) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "httpcache: POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	return httpx.PostOnly("httpcache", func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case strings.HasSuffix(r.URL.Path, "/get"):
 			handleGet(store, w, r)
@@ -464,8 +289,7 @@ func Handler(store cachestore.Store) http.Handler {
 
 func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	var req getRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("httpcache: bad request: %v", err), http.StatusBadRequest)
+	if !httpx.ReadJSON("httpcache", w, r, &req) {
 		return
 	}
 	if len(req.Keys) == 0 {
@@ -496,15 +320,14 @@ func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	}
 	resp := getResponse{Entries: make([]getEntry, len(entries))}
 	for i, e := range entries {
-		resp.Entries[i] = getEntry{Found: e.Found, Dets: toWire(e.Dets)}
+		resp.Entries[i] = getEntry{Found: e.Found, Dets: httpx.Encode(e.Dets)}
 	}
-	writeJSON(w, resp)
+	httpx.WriteJSON("httpcache", w, resp)
 }
 
 func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	var req putRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("httpcache: bad request: %v", err), http.StatusBadRequest)
+	if !httpx.ReadJSON("httpcache", w, r, &req) {
 		return
 	}
 	if len(req.Entries) == 0 {
@@ -528,25 +351,11 @@ func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		keys[i] = k
-		vals[i] = fromWire(e.Dets)
+		vals[i] = httpx.Decode(e.Dets)
 	}
 	if err := store.PutBatch(r.Context(), keys, vals); err != nil {
 		http.Error(w, fmt.Sprintf("httpcache: store: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, putResponse{Stored: len(keys)})
-}
-
-// writeJSON encodes into a pooled buffer first, so the response hits the
-// wire in one write and an encode failure can still surface as a 500.
-func writeJSON(w http.ResponseWriter, v any) {
-	out := bufPool.Get().(*bytes.Buffer)
-	out.Reset()
-	defer bufPool.Put(out)
-	if err := json.NewEncoder(out).Encode(v); err != nil {
-		http.Error(w, fmt.Sprintf("httpcache: encode response: %v", err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out.Bytes())
+	httpx.WriteJSON("httpcache", w, putResponse{Stored: len(keys)})
 }
